@@ -1,11 +1,12 @@
 # Build/verify entry points. `make check` is the gate every change must
-# pass: vet, build, the full test suite, and the race detector over the
-# packages with lock-free and sharded concurrent code (metrics, forkjoin,
-# stm), which ordinary `go test` does not exercise under -race.
+# pass: vet, a gofmt-clean tree, build, the full test suite, and the race
+# detector over the packages with lock-free, sharded or lock-guarded
+# concurrent code (metrics, forkjoin, stm, the stores, ...), which ordinary
+# `go test` does not exercise under -race.
 
 GO ?= go
 
-RACE_PKGS = ./internal/metrics ./internal/forkjoin ./internal/stm ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/lin ./internal/streams ./internal/actors ./internal/rx ./internal/mpsc ./internal/rvm ./internal/rvm/opt ./internal/hdr ./internal/loadgen
+RACE_PKGS = ./internal/metrics ./internal/forkjoin ./internal/stm ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/lin ./internal/streams ./internal/actors ./internal/rx ./internal/mpsc ./internal/rvm ./internal/rvm/opt ./internal/hdr ./internal/loadgen ./internal/graphdb ./internal/memdb
 
 # The fault-tolerance and engine-concurrency tests: harness panic/timeout
 # isolation, netstack drain/close/breaker/shedding, client retry and close
@@ -21,16 +22,21 @@ RACE_PKGS = ./internal/metrics ./internal/forkjoin ./internal/stm ./internal/cor
 # extension differential vs a global-lock reference) and the RDD lineage
 # recovery suite (recompute vs concurrent actions on a shared cache,
 # retry-budget exhaustion, shuffle epoch retries, speculative-duplicate
-# suppression, checkpoint truncation).
+# suppression, checkpoint truncation) and the graph store's concurrent
+# reader/writer tests and its differential test against an edge-list
+# oracle.
 STRESS_RUN = 'Close|Drain|Timeout|Race|Racing|Panic|Retry|Fault|Discard|Exchange|Executor|Fused|Nested|Quiesce|Flood|Steal|Registry|Scheduler|Queue|Mailbox|Ask|Restart|Resume|Escalation|DeadLetter|Breaker|Shed|Tier|Quicken|Admission|Backoff|Concurrent|Outstanding|Opacity|Wakeup|Extension|Differential|Cholesky|Recompute|Speculative|Epoch|Checkpoint|Budget|Lineage'
-STRESS_PKGS = ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/forkjoin ./internal/actors ./internal/rx ./internal/mpsc ./internal/streams ./internal/rvm ./internal/rvm/opt ./internal/hdr ./internal/loadgen ./internal/stm
+STRESS_PKGS = ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/forkjoin ./internal/actors ./internal/rx ./internal/mpsc ./internal/streams ./internal/rvm ./internal/rvm/opt ./internal/hdr ./internal/loadgen ./internal/stm ./internal/graphdb
 
-.PHONY: check vet build test race stress chaos bench bench-all bench-ci bench-contention analyze
+.PHONY: check vet fmtcheck build test race stress chaos bench bench-all bench-ci bench-contention analyze
 
-check: vet build test race
+check: vet fmtcheck build test race
 
 vet:
 	$(GO) vet ./...
+
+fmtcheck:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -433,18 +433,18 @@ func firstLine(s string) string {
 
 func cmdMetrics() error {
 	desc := map[metrics.Metric]string{
-		metrics.Synch:      "synchronized (mutex-guarded) sections executed",
-		metrics.Wait:       "guarded-block waits (Object.wait analogues)",
-		metrics.Notify:     "condition signals (Object.notify analogues)",
-		metrics.Atomic:     "atomic memory operations executed",
-		metrics.Park:       "goroutine park operations",
-		metrics.CPU:        "average CPU utilization (sampled, %)",
-		metrics.CacheMiss:  "cache misses (simulated / allocation proxy)",
-		metrics.Object:     "objects allocated",
-		metrics.Array:      "arrays (slices) allocated",
-		metrics.Method:     "dynamically dispatched calls",
-		metrics.IDynamic:   "closure dispatches (invokedynamic analogues)",
-		metrics.DeadLetter: "undeliverable messages and shed requests (fault path)",
+		metrics.Synch:        "synchronized (mutex-guarded) sections executed",
+		metrics.Wait:         "guarded-block waits (Object.wait analogues)",
+		metrics.Notify:       "condition signals (Object.notify analogues)",
+		metrics.Atomic:       "atomic memory operations executed",
+		metrics.Park:         "goroutine park operations",
+		metrics.CPU:          "average CPU utilization (sampled, %)",
+		metrics.CacheMiss:    "cache misses (simulated / allocation proxy)",
+		metrics.Object:       "objects allocated",
+		metrics.Array:        "arrays (slices) allocated",
+		metrics.Method:       "dynamically dispatched calls",
+		metrics.IDynamic:     "closure dispatches (invokedynamic analogues)",
+		metrics.DeadLetter:   "undeliverable messages and shed requests (fault path)",
 		metrics.StmAbort:     "STM transaction aborts (conflicts and contention)",
 		metrics.StmExtend:    "STM read-version timestamp extensions",
 		metrics.RddRecompute: "RDD partition recomputes (lineage recovery, fault path)",

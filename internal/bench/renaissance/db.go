@@ -154,21 +154,22 @@ func (w *neo4jWorkload) RunIteration() error {
 			for i := 0; i < w.txOps; i++ {
 				switch i % 4 {
 				case 0:
-					rows := g.Match("User", "FOLLOWS", "User")
-					if len(rows) < w.users*w.follows {
-						errCh <- fmt.Errorf("neo4j-analytics: %d FOLLOWS rows, want >= %d",
-							len(rows), w.users*w.follows)
+					if err := w.checkFollows(g.Match("User", "FOLLOWS", "User")); err != nil {
+						errCh <- err
 						return
 					}
 				case 1:
 					byRegion := g.AggregateByProp("User", "region")
-					total := 0
-					for _, n := range byRegion {
-						total += n
-					}
-					if total != w.users {
-						errCh <- fmt.Errorf("neo4j-analytics: aggregate covers %d users", total)
+					if len(byRegion) != min(w.users, 4) {
+						errCh <- fmt.Errorf("neo4j-analytics: aggregate has %d regions", len(byRegion))
 						return
+					}
+					for reg := 0; reg < 4; reg++ {
+						if want := (w.users - reg + 3) / 4; byRegion[reg] != want {
+							errCh <- fmt.Errorf("neo4j-analytics: region %d has %d users, want %d",
+								reg, byRegion[reg], want)
+							return
+						}
 					}
 				case 2:
 					if d := g.ShortestPath(ids[0], ids[w.users/2], "FOLLOWS"); d < 0 {
@@ -197,12 +198,99 @@ func (w *neo4jWorkload) RunIteration() error {
 	for err := range errCh {
 		return err
 	}
-	top := g.TopDegree("User", 5)
-	if len(top) != 5 {
-		return fmt.Errorf("neo4j-analytics: top-degree query returned %d rows", len(top))
+	if err := w.checkTop(g.TopDegree("User", 5), ids); err != nil {
+		return err
 	}
 	w.checked = true
 	return nil
+}
+
+// checkTop checks the top-degree query against the exact answer: the five
+// users of highest closed-form degree, ties by ascending ID (ids ascends
+// with the user index).
+func (w *neo4jWorkload) checkTop(top, ids []graphdb.NodeID) error {
+	if len(top) != 5 {
+		return fmt.Errorf("neo4j-analytics: top-degree query returned %d rows", len(top))
+	}
+	var want [5]struct {
+		id  graphdb.NodeID
+		deg int
+	}
+	n := 0
+	for u, id := range ids {
+		d := w.degree(u)
+		if n == len(want) && d <= want[n-1].deg {
+			continue
+		}
+		n = min(n+1, len(want))
+		j := n - 1
+		for ; j > 0 && want[j-1].deg < d; j-- {
+			want[j] = want[j-1]
+		}
+		want[j].id, want[j].deg = id, d
+	}
+	for i, id := range top {
+		if id != want[i].id {
+			return fmt.Errorf("neo4j-analytics: top-degree row %d is node %d, want node %d (degree %d)",
+				i, id, want[i].id, want[i].deg)
+		}
+	}
+	return nil
+}
+
+// checkFollows checks the FOLLOWS match exactly: users*follows rows in
+// ascending (From, To) order, with equal neighbours only for the parallel
+// edges that coinciding offsets produce on small graphs.
+func (w *neo4jWorkload) checkFollows(rows []graphdb.MatchRow) error {
+	if len(rows) != w.users*w.follows {
+		return fmt.Errorf("neo4j-analytics: %d FOLLOWS rows, want %d", len(rows), w.users*w.follows)
+	}
+	dups := 0
+	for i := 1; i < len(rows); i++ {
+		a, b := rows[i-1], rows[i]
+		if a.From > b.From || a.From == b.From && a.To > b.To {
+			return fmt.Errorf("neo4j-analytics: FOLLOWS row %d %v follows %v out of order", i, b, a)
+		}
+		if a.From == b.From && a.To == b.To {
+			dups++
+		}
+	}
+	if want := w.users * w.parallelOffsets(); dups != want {
+		return fmt.Errorf("neo4j-analytics: %d repeated FOLLOWS rows, want %d", dups, want)
+	}
+	return nil
+}
+
+// parallelOffsets counts the offsets k*k (k = 1..follows) that repeat an
+// earlier one modulo users: each such offset gives every user a parallel
+// FOLLOWS edge.
+func (w *neo4jWorkload) parallelOffsets() int {
+	n := 0
+	for k := 2; k <= w.follows; k++ {
+		for j := 1; j < k; j++ {
+			if (k*k-j*j)%w.users == 0 {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
+// degree is the closed-form total degree of user u: follows outgoing and
+// follows incoming FOLLOWS edges (user u is followed by u-k*k for each k),
+// plus one POSTED edge for each write op i (i%4 == 3) of each worker that
+// posted as user (worker*31+i) mod users.
+func (w *neo4jWorkload) degree(u int) int {
+	deg := 2 * w.follows
+	for worker := 0; worker < 2; worker++ {
+		for i := ((u-worker*31)%w.users + w.users) % w.users; i < w.txOps; i += w.users {
+			if i%4 == 3 {
+				deg++
+			}
+		}
+	}
+	return deg
 }
 
 func (w *neo4jWorkload) Validate() error {

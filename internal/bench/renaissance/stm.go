@@ -108,8 +108,8 @@ type sbMix struct {
 }
 
 var (
-	sbMixDefault   = sbMix{traversalPct: 25, regionalPct: 25}
-	sbMixReadHeavy = sbMix{traversalPct: 80, regionalPct: 10}
+	sbMixDefault    = sbMix{traversalPct: 25, regionalPct: 25}
+	sbMixReadHeavy  = sbMix{traversalPct: 80, regionalPct: 10}
 	sbMixWriteHeavy = sbMix{traversalPct: 5, regionalPct: 15}
 )
 

@@ -6,12 +6,17 @@
 // buffer their mutations and apply them atomically at commit under the
 // store lock; read transactions see a consistent snapshot for their whole
 // duration.
+//
+// Nodes live in a dense table indexed by NodeID. IDs come from a monotonic
+// counter, so a scan of the table visits nodes in ascending ID order; an ID
+// whose transaction rolled back or failed to commit stays a nil slot.
 package graphdb
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"renaissance/internal/metrics"
@@ -44,10 +49,12 @@ type rel struct {
 
 // Graph is the store.
 type Graph struct {
-	mu      sync.RWMutex
-	nodes   map[NodeID]*Node
-	byLabel map[string][]NodeID
-	nextID  NodeID
+	mu         sync.RWMutex
+	nodes      []*Node // indexed by NodeID; nil for IDs never committed
+	live       int     // non-nil slots in nodes
+	rels       int     // committed relationships
+	relsByType map[string]int
+	nextID     NodeID
 	// Commits counts committed write transactions.
 	Commits int64
 }
@@ -55,10 +62,15 @@ type Graph struct {
 // New creates an empty graph.
 func New() *Graph {
 	metrics.IncObject()
-	return &Graph{
-		nodes:   make(map[NodeID]*Node),
-		byLabel: make(map[string][]NodeID),
+	return &Graph{relsByType: make(map[string]int)}
+}
+
+// node returns the committed node with the ID, or nil.
+func (g *Graph) node(id NodeID) *Node {
+	if uint64(id) >= uint64(len(g.nodes)) {
+		return nil
 	}
+	return g.nodes[id]
 }
 
 // WriteTx starts a write transaction. Mutations are buffered and applied
@@ -87,11 +99,7 @@ type txOp struct {
 // exists reports whether the node is live in the graph or staged by this
 // transaction (valid to reference from later operations in the same tx).
 func (t *Tx) exists(g *Graph, id NodeID) bool {
-	if t.staged[id] {
-		return true
-	}
-	_, ok := g.nodes[id]
-	return ok
+	return t.staged[id] || g.node(id) != nil
 }
 
 // CreateNode stages a node creation and returns its future ID.
@@ -113,8 +121,11 @@ func (t *Tx) CreateNode(label string, props map[string]any) (NodeID, error) {
 	t.staged[id] = true
 	t.ops = append(t.ops, txOp{apply: func(g *Graph) {
 		metrics.IncObject()
+		if int(id) >= len(g.nodes) {
+			g.nodes = slices.Grow(g.nodes, int(id)+1-len(g.nodes))[:id+1]
+		}
 		g.nodes[id] = &Node{ID: id, Label: label, Props: cloneProps(props)}
-		g.byLabel[label] = append(g.byLabel[label], id)
+		g.live++
 	}})
 	return id, nil
 }
@@ -163,6 +174,8 @@ func (t *Tx) Relate(from, to NodeID, relType string, props map[string]any) error
 			r := &rel{Type: relType, From: from, To: to, Props: cloneProps(props)}
 			fn.outRel = append(fn.outRel, r)
 			tn.inRel = append(tn.inRel, r)
+			g.rels++
+			g.relsByType[relType]++
 		},
 	})
 	return nil
@@ -226,7 +239,7 @@ func (g *Graph) NodeCount() int {
 	metrics.IncSynch()
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.nodes)
+	return g.live
 }
 
 // GetNode returns a snapshot of the node.
@@ -234,8 +247,8 @@ func (g *Graph) GetNode(id NodeID) (Node, bool) {
 	metrics.IncSynch()
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	n, ok := g.nodes[id]
-	if !ok {
+	n := g.node(id)
+	if n == nil {
 		return Node{}, false
 	}
 	return Node{ID: n.ID, Label: n.Label, Props: cloneProps(n.Props)}, true
@@ -247,8 +260,12 @@ func (g *Graph) ByLabel(label string) []NodeID {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	metrics.IncArray()
-	out := append([]NodeID(nil), g.byLabel[label]...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	var out []NodeID
+	for _, n := range g.nodes {
+		if n != nil && n.Label == label {
+			out = append(out, n.ID)
+		}
+	}
 	return out
 }
 
@@ -268,8 +285,8 @@ func (g *Graph) Neighbors(id NodeID, relType string, dir Direction) []NodeID {
 	metrics.IncSynch()
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	n, ok := g.nodes[id]
-	if !ok {
+	n := g.node(id)
+	if n == nil {
 		return nil
 	}
 	metrics.IncArray()
@@ -296,8 +313,8 @@ func (g *Graph) Degree(id NodeID, dir Direction) int {
 	metrics.IncSynch()
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	n, ok := g.nodes[id]
-	if !ok {
+	n := g.node(id)
+	if n == nil {
 		return 0
 	}
 	switch dir {
@@ -317,35 +334,34 @@ type MatchRow struct {
 }
 
 // Match returns every (from:fromLabel)-[:relType]->(to:toLabel) triple;
-// empty strings are wildcards.
+// empty strings are wildcards. Rows come in ascending (From, To) order;
+// parallel relationships between the same pair keep their commit order.
 func (g *Graph) Match(fromLabel, relType, toLabel string) []MatchRow {
 	metrics.IncSynch()
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	metrics.IncArray()
-	var out []MatchRow
+	size := g.rels
+	if relType != "" {
+		size = g.relsByType[relType]
+	}
+	out := make([]MatchRow, 0, size)
 	for _, n := range g.nodes {
-		if fromLabel != "" && n.Label != fromLabel {
+		if n == nil || fromLabel != "" && n.Label != fromLabel {
 			continue
 		}
+		start := len(out)
 		for _, r := range n.outRel {
 			if relType != "" && r.Type != relType {
 				continue
 			}
-			if toLabel != "" {
-				if tn, ok := g.nodes[r.To]; !ok || tn.Label != toLabel {
-					continue
-				}
+			if toLabel != "" && g.nodes[r.To].Label != toLabel {
+				continue
 			}
 			out = append(out, MatchRow{From: r.From, To: r.To, RelType: r.Type})
 		}
+		slices.SortStableFunc(out[start:], func(a, b MatchRow) int { return cmp.Compare(a.To, b.To) })
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
 	return out
 }
 
@@ -359,18 +375,15 @@ func (g *Graph) ShortestPath(src, dst NodeID, relType string) int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	metrics.IncObject()
-	visited := map[NodeID]bool{src: true}
-	frontier := []NodeID{src}
-	depth := 0
-	for len(frontier) > 0 {
-		depth++
-		var next []NodeID
+	if g.node(src) == nil {
+		return -1
+	}
+	visited := make([]bool, len(g.nodes))
+	visited[src] = true
+	frontier, next := []NodeID{src}, []NodeID(nil)
+	for depth := 1; len(frontier) > 0; depth++ {
 		for _, id := range frontier {
-			n, ok := g.nodes[id]
-			if !ok {
-				continue
-			}
-			for _, r := range n.outRel {
+			for _, r := range g.nodes[id].outRel {
 				if relType != "" && r.Type != relType {
 					continue
 				}
@@ -383,7 +396,7 @@ func (g *Graph) ShortestPath(src, dst NodeID, relType string) int {
 				}
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier[:0]
 	}
 	return -1
 }
@@ -396,8 +409,10 @@ func (g *Graph) AggregateByProp(label, prop string) map[any]int {
 	defer g.mu.RUnlock()
 	metrics.IncObject()
 	out := make(map[any]int)
-	for _, id := range g.byLabel[label] {
-		n := g.nodes[id]
+	for _, n := range g.nodes {
+		if n == nil || n.Label != label {
+			continue
+		}
 		if v, ok := n.Props[prop]; ok {
 			out[v]++
 		}
@@ -408,25 +423,25 @@ func (g *Graph) AggregateByProp(label, prop string) map[any]int {
 // TopDegree returns the k nodes of the label with the highest total
 // degree, descending (ties by ascending ID).
 func (g *Graph) TopDegree(label string, k int) []NodeID {
-	metrics.IncSynch()
-	g.mu.RLock()
-	ids := append([]NodeID(nil), g.byLabel[label]...)
 	type scored struct {
 		id  NodeID
 		deg int
 	}
+	metrics.IncSynch()
+	g.mu.RLock()
 	metrics.IncArray()
-	all := make([]scored, len(ids))
-	for i, id := range ids {
-		n := g.nodes[id]
-		all[i] = scored{id, len(n.outRel) + len(n.inRel)}
+	all := make([]scored, 0, g.live)
+	for _, n := range g.nodes {
+		if n != nil && n.Label == label {
+			all = append(all, scored{n.ID, len(n.outRel) + len(n.inRel)})
+		}
 	}
 	g.mu.RUnlock()
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].deg != all[j].deg {
-			return all[i].deg > all[j].deg
+	slices.SortFunc(all, func(a, b scored) int {
+		if a.deg != b.deg {
+			return cmp.Compare(b.deg, a.deg)
 		}
-		return all[i].id < all[j].id
+		return cmp.Compare(a.id, b.id)
 	})
 	if k > len(all) {
 		k = len(all)

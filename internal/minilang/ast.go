@@ -94,7 +94,7 @@ type While struct {
 // shape so the tier-1 quickener can hoist null and bounds checks for
 // loops that iterate an array by `len`.
 type For struct {
-	Init Stmt    // *VarDecl or *Assign
+	Init Stmt // *VarDecl or *Assign
 	Cond Expr
 	Post *Assign
 	Body *Block

@@ -161,7 +161,7 @@ func TestPartitionClampRule(t *testing.T) {
 		t.Errorf("Parallelize default = %d", got)
 	}
 
-	pairs := Map(Parallelize(ints(60), 4), func(x int) Pair[int, int] { return KV(x % 9, 1) })
+	pairs := Map(Parallelize(ints(60), 4), func(x int) Pair[int, int] { return KV(x%9, 1) })
 	huge := ReduceByKey(pairs, 1<<20, func(a, b int) int { return a + b })
 	if limit := shuffleLimit(4); huge.NumPartitions() > limit {
 		t.Errorf("ReduceByKey partitions = %d, above limit %d", huge.NumPartitions(), limit)
@@ -310,7 +310,7 @@ func TestFusedActionsRace(t *testing.T) {
 // TestShuffledRDDSortedCollect double-checks shuffled iterate semantics:
 // collecting a ReduceByKey result twice yields the same multiset.
 func TestShuffledRDDSortedCollect(t *testing.T) {
-	pairs := Map(Parallelize(ints(97), 6), func(x int) Pair[int, int] { return KV(x % 13, x) })
+	pairs := Map(Parallelize(ints(97), 6), func(x int) Pair[int, int] { return KV(x%13, x) })
 	r := ReduceByKey(pairs, 0, func(a, b int) int { return a + b })
 	norm := func(kvs []Pair[int, int]) []Pair[int, int] {
 		out := append([]Pair[int, int](nil), kvs...)
