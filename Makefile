@@ -1,8 +1,10 @@
 # Build/verify entry points. `make check` is the gate every change must
-# pass: vet, a gofmt-clean tree, build, the full test suite, and the race
+# pass: vet, a gofmt-clean tree, build, the full test suite, the race
 # detector over the packages with lock-free, sharded or lock-guarded
 # concurrent code (metrics, forkjoin, stm, the stores, ...), which ordinary
-# `go test` does not exercise under -race.
+# `go test` does not exercise under -race, and vet plus tests of the
+# benchmark module in perfbench/, which has its own go.mod and so is not
+# covered by `./...` from the root.
 
 GO ?= go
 
@@ -28,9 +30,9 @@ RACE_PKGS = ./internal/metrics ./internal/forkjoin ./internal/stm ./internal/cor
 STRESS_RUN = 'Close|Drain|Timeout|Race|Racing|Panic|Retry|Fault|Discard|Exchange|Executor|Fused|Nested|Quiesce|Flood|Steal|Registry|Scheduler|Queue|Mailbox|Ask|Restart|Resume|Escalation|DeadLetter|Breaker|Shed|Tier|Quicken|Admission|Backoff|Concurrent|Outstanding|Opacity|Wakeup|Extension|Differential|Cholesky|Recompute|Speculative|Epoch|Checkpoint|Budget|Lineage'
 STRESS_PKGS = ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/forkjoin ./internal/actors ./internal/rx ./internal/mpsc ./internal/streams ./internal/rvm ./internal/rvm/opt ./internal/hdr ./internal/loadgen ./internal/stm ./internal/graphdb
 
-.PHONY: check vet fmtcheck build test race stress chaos bench bench-all bench-ci bench-contention analyze
+.PHONY: check vet fmtcheck build test race perfbench stress chaos bench bench-all bench-ci bench-contention analyze
 
-check: vet fmtcheck build test race
+check: vet fmtcheck build test race perfbench
 
 vet:
 	$(GO) vet ./...
@@ -46,6 +48,9 @@ test:
 
 race:
 	$(GO) test -race -count=1 $(RACE_PKGS)
+
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 stress:
 	$(GO) test -race -count=5 -run $(STRESS_RUN) $(STRESS_PKGS)

@@ -38,6 +38,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -191,6 +192,9 @@ func cmdRun(args []string) error {
 	rvmProfile := fs.Bool("rvm.profile", false, "collect the RVM tier-up profile and dump per-opcode/per-call-site stats to stderr after the run")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if !(*size > 0) || math.IsInf(*size, 1) {
+		return fmt.Errorf("bad -size %v (want a finite number > 0)", *size)
 	}
 
 	switch *rvmTier {

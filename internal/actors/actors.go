@@ -345,23 +345,29 @@ func (r *Ref) processBatch(w *worker) {
 			r.sys.messageDone(w)
 			continue
 		}
+		// A failed message is accounted only after its failure is
+		// handled, so quiescence cannot be observed in between: an
+		// escalation's enqueue or root-failure count lands first.
 		if esc, ok := env.msg.(escalated); ok {
 			// A child failure escalated here: apply this actor's own
 			// strategy under its own slot (see supervision.go).
+			suspended := r.fail(w, esc.err)
 			r.sys.messageDone(w)
-			if r.fail(w, esc.err) {
+			if suspended {
 				return // suspended for a backoff restart; slot handed off
 			}
 			continue
 		}
 		failure, failed := r.deliver(w, env)
-		r.sys.messageDone(w)
 		if failed {
-			if r.fail(w, failure) {
+			suspended := r.fail(w, failure)
+			r.sys.messageDone(w)
+			if suspended {
 				return // suspended for a backoff restart; slot handed off
 			}
 			continue
 		}
+		r.sys.messageDone(w)
 		if r.restarts != 0 {
 			r.restarts = 0 // a clean delivery resets the backoff ladder
 		}

@@ -2,15 +2,13 @@ package rvm
 
 import "testing"
 
-// The tier-up benchmarks measure the three execution engines on the
+// The tier-up benchmarks measure the two execution engines on the
 // kernels the quickener targets (see EXPERIMENTS.md "Interpreter
 // tier-up"):
 //
-//   - legacy: the pre-verification dynamic-stack interpreter, forced by
-//     marking every method unverified (the seed's only engine).
-//   - tier0:  the flat-frame switch interpreter with verified stack
+//   - tier0: the flat-frame switch interpreter with verified stack
 //     depths, pooled frames, and block-granularity fuel.
-//   - tier1:  quickened token-threaded code with superinstructions and
+//   - tier1: quickened token-threaded code with superinstructions and
 //     inline caches.
 //
 // Run with -cpu 1: the interpreter is single-threaded and the numbers
@@ -34,35 +32,20 @@ func benchProgram(entry *Method, extra ...*Method) *Program {
 	return p
 }
 
-// forceLegacy pins every method of the program to the dynamic-stack
-// path, as if verification had failed — the seed interpreter's behavior.
-func forceLegacy(vm *Interp, p *Program) {
-	for _, m := range p.Methods() {
-		st := vm.state(m)
-		st.flat = false
-		st.noQuick = true
-	}
-}
-
 // benchTiers runs the program once per engine configuration under b.N.
 func benchTiers(b *testing.B, p *Program, args ...Value) {
 	b.Helper()
 	engines := []struct {
-		name   string
-		tier   TierPolicy
-		legacy bool
+		name string
+		tier TierPolicy
 	}{
-		{"legacy", TierBaseline, true},
-		{"tier0", TierBaseline, false},
-		{"tier1", TierQuick, false},
+		{"tier0", TierBaseline},
+		{"tier1", TierQuick},
 	}
 	for _, e := range engines {
 		b.Run(e.name, func(b *testing.B) {
 			vm := NewInterp(p)
 			vm.Tier = e.tier
-			if e.legacy {
-				forceLegacy(vm, p)
-			}
 			if _, err := vm.Run(args...); err != nil { // warm: verify + quicken
 				b.Fatal(err)
 			}

@@ -235,9 +235,6 @@ func (a *Asm) Build(name string, nargs int) (*Method, error) {
 			InitNonNeg: l.initNonNeg,
 		})
 	}
-	if ms, _, err := verifyMethod(m); err == nil {
-		m.MaxStack = ms
-	}
 	return m, nil
 }
 

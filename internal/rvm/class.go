@@ -92,10 +92,6 @@ type Method struct {
 	Code    []Instr
 	// Static marks methods invoked without a receiver.
 	Static bool
-	// MaxStack is the verified operand-stack high-water mark, computed by
-	// Asm.Build (and recomputed defensively by the interpreter for
-	// hand-built methods). Zero means "not verified yet".
-	MaxStack int
 	// Loops carries compiler-emitted loop-shape metadata (minilang's for
 	// statement): the quickener uses it to prove the induction variable
 	// non-negative and elide per-access null+bounds checks in tier-1.

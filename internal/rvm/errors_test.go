@@ -104,17 +104,20 @@ func TestTrapNegativeArraySize(t *testing.T) {
 }
 
 func TestTrapStackUnderflow(t *testing.T) {
-	err := trap(t, nil, func(a *Asm) { a.Op(OpAdd).Op(OpReturn) })
-	if !errors.Is(err, ErrStack) {
-		t.Errorf("err = %v", err)
+	cases := map[string]func(a *Asm){
+		"add": func(a *Asm) { a.Op(OpAdd).Op(OpReturn) },
+		"pop": func(a *Asm) { a.Op(OpPop).ConstInt(0).Op(OpReturn) },
+		"dup": func(a *Asm) { a.Op(OpDup).Op(OpReturn) },
 	}
-	err = trap(t, nil, func(a *Asm) { a.Op(OpPop).ConstInt(0).Op(OpReturn) })
-	if !errors.Is(err, ErrStack) {
-		t.Errorf("pop err = %v", err)
-	}
-	err = trap(t, nil, func(a *Asm) { a.Op(OpDup).Op(OpReturn) })
-	if !errors.Is(err, ErrStack) {
-		t.Errorf("dup err = %v", err)
+	for name, code := range cases {
+		err := trap(t, nil, code)
+		if !errors.Is(err, ErrStack) {
+			t.Errorf("%s err = %v", name, err)
+		}
+		var ve *VerifyError
+		if !errors.As(err, &ve) || ve.Method.Name != "main" || ve.PC != 0 {
+			t.Errorf("%s err = %v, want *VerifyError at main:0", name, err)
+		}
 	}
 }
 
@@ -170,8 +173,13 @@ func TestUnknownOpcode(t *testing.T) {
 	mainC.AddMethod(m)
 	_ = p.AddClass(mainC)
 	p.Entry = m
-	if _, err := NewInterp(p).Run(); err == nil || !strings.Contains(err.Error(), "unknown opcode") {
+	_, err := NewInterp(p).Run()
+	if err == nil || !strings.Contains(err.Error(), "unknown opcode 200") {
 		t.Errorf("err = %v", err)
+	}
+	var ve *VerifyError
+	if !errors.As(err, &ve) || ve.Method != m || ve.PC != 0 {
+		t.Errorf("err = %v, want *VerifyError at bad:0", err)
 	}
 	if got := Opcode(200).String(); !strings.Contains(got, "op(200)") {
 		t.Errorf("opcode name = %q", got)

@@ -45,10 +45,10 @@ var (
 // interpreters over one Program stay race-free.
 type mstate struct {
 	m *Method
-	// flat reports the method verified: it can run on the flat-frame
-	// tier-0 path and is a quickening candidate.
-	flat     bool
-	noQuick  bool // quickening failed or is not applicable
+	// err is non-nil when the method failed verification; invoke returns
+	// it before any tier runs, and the fields below stay unset.
+	err      *VerifyError
+	noQuick  bool // quickening failed; not retried
 	maxStack int
 	depths   []int // per-pc entry depth from verification
 	leaders  map[int]bool
@@ -87,20 +87,20 @@ func (rp *recvProf) note(c *Class) {
 }
 
 // state returns (creating on first use) the tiering state for a method,
-// verifying it once per interpreter.
+// verifying it once per interpreter: this is the link step, and a
+// verification failure is recorded in st.err.
 func (vm *Interp) state(m *Method) *mstate {
 	st := vm.states[m]
 	if st != nil {
 		return st
 	}
 	st = &mstate{m: m}
-	if ms, depths, err := verifyMethod(m); err == nil {
-		st.flat = true
+	if ms, depths, err := verifyMethod(m); err != nil {
+		st.err = err
+	} else {
 		st.maxStack = ms
 		st.depths = depths
 		st.leaders, st.charges = blockLayout(m)
-	} else {
-		st.noQuick = true
 	}
 	if vm.states == nil {
 		vm.states = make(map[*Method]*mstate)

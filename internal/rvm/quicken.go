@@ -163,10 +163,7 @@ type qcode struct {
 // quicken tries to tier the method up, marking it noQuick on failure so
 // the attempt is made only once.
 func (vm *Interp) quicken(st *mstate) {
-	if st.q != nil || st.noQuick || !st.flat {
-		if st.q == nil {
-			st.noQuick = true
-		}
+	if st.q != nil || st.noQuick {
 		return
 	}
 	if q, ok := buildQuick(st); ok {

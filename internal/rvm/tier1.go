@@ -4,10 +4,11 @@ import "fmt"
 
 // Tier-1 execution: token-threaded dispatch over a function table indexed
 // by quickened opcode. Frames are pooled and flat — locals and operand
-// stack share one slice sized from the verified MaxStack — so steady-state
-// invocation allocates nothing. Fuel is charged per basic block (the
-// charge rides on each block's leader instruction); Executed and every
-// other counter are bumped by the handlers to match tier-0 exactly.
+// stack share one slice sized from the verified mstate.maxStack — so
+// steady-state invocation allocates nothing. Fuel is charged per basic
+// block (the charge rides on each block's leader instruction); Executed
+// and every other counter are bumped by the handlers to match tier-0
+// exactly.
 
 // frame is a pooled activation record: regs[:nlocals] are the locals,
 // regs[nlocals:] the operand stack, sp the absolute top-of-stack index.

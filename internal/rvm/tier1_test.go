@@ -16,8 +16,8 @@ func runTier(p *Program, tier TierPolicy, fuel int64, args ...Value) (Value, err
 }
 
 // diffTiers asserts tier-0 (baseline) and tier-1 (forced quickening)
-// agree on result, trap, and every counter.
-func diffTiers(t *testing.T, name string, p *Program, args ...Value) {
+// agree on result, trap, and every counter, and returns the trap.
+func diffTiers(t *testing.T, name string, p *Program, args ...Value) error {
 	t.Helper()
 	v0, e0, c0 := runTier(p, TierBaseline, 0, args...)
 	v1, e1, c1 := runTier(p, TierQuick, 0, args...)
@@ -33,6 +33,7 @@ func diffTiers(t *testing.T, name string, p *Program, args ...Value) {
 	if c0 != c1 {
 		t.Errorf("%s: counters diverged:\n tier0: %+v\n tier1: %+v", name, c0, c1)
 	}
+	return e0
 }
 
 func buildProg(t *testing.T, entry *Method, extra ...*Method) *Program {
@@ -248,16 +249,109 @@ func TestTierDifferentialCalls(t *testing.T) {
 }
 
 // TestTierDifferentialUnverifiable exercises methods that fail
-// verification; both tiers must fall back to the dynamic seed path.
+// verification: both tiers must reject them with the same *VerifyError
+// before any of their instructions run, whether the bad method is the
+// entry point or a callee reached through any call path.
 func TestTierDifferentialUnverifiable(t *testing.T) {
-	u := NewAsm()
-	u.Op(OpPop).ConstInt(1).Op(OpReturn) // static underflow
-	diffTiers(t, "underflow", buildProg(t, u.MustBuild("main", 0)))
-
-	k := NewAsm()
-	k.Emit(Instr{Op: Opcode(200)})
-	k.ConstInt(0).Op(OpReturn)
-	diffTiers(t, "unknown-opcode", buildProg(t, k.MustBuild("main", 0)))
+	// bad underflows at pc 0; it is the callee of the call-path cases.
+	bad := func() *Method {
+		a := NewAsm()
+		a.Op(OpPop).ConstInt(1).Op(OpReturn)
+		return a.MustBuild("bad", 0)
+	}
+	// caller runs a few instructions, then reaches bad through call.
+	caller := func(call func(a *Asm)) *Method {
+		a := NewAsm()
+		a.ConstInt(7).Op(OpPop)
+		call(a)
+		a.Op(OpReturn)
+		return a.MustBuild("main", 0)
+	}
+	cases := []struct {
+		name string
+		prog func() (p *Program, failing *Method)
+		pc   int
+	}{
+		{"underflow", func() (*Program, *Method) {
+			m := bad()
+			return buildProg(t, m), m
+		}, 0},
+		{"unknown-opcode", func() (*Program, *Method) {
+			a := NewAsm()
+			a.Emit(Instr{Op: Opcode(200)})
+			a.ConstInt(0).Op(OpReturn)
+			m := a.MustBuild("main", 0)
+			return buildProg(t, m), m
+		}, 0},
+		{"unknown-opcode-untaken-branch", func() (*Program, *Method) {
+			a := NewAsm()
+			a.ConstInt(1).Jump(OpJumpIf, "ok")
+			a.Emit(Instr{Op: Opcode(200)})
+			a.Label("ok")
+			a.ConstInt(0).Op(OpReturn)
+			m := a.MustBuild("main", 0)
+			return buildProg(t, m), m
+		}, 2},
+		{"inconsistent-join-depth", func() (*Program, *Method) {
+			a := NewAsm()
+			a.ConstInt(1).Jump(OpJumpIfNot, "join")
+			a.ConstInt(2) // one path arrives with depth 1, the other with 0
+			a.Label("join")
+			a.ConstInt(0).Op(OpReturn)
+			m := a.MustBuild("main", 0)
+			return buildProg(t, m), m
+		}, 3},
+		{"local-slot-out-of-range", func() (*Program, *Method) {
+			a := NewAsm()
+			a.ConstInt(0).Store(0)
+			a.Emit(Instr{Op: OpLoad, A: 1})
+			a.Op(OpReturn)
+			m := a.MustBuild("main", 0)
+			return buildProg(t, m), m
+		}, 2},
+		{"negative-arg-count", func() (*Program, *Method) {
+			a := NewAsm()
+			a.Emit(Instr{Op: OpInvokeStatic, S: "Main.main", A: -1})
+			a.Op(OpReturn)
+			m := a.MustBuild("main", 0)
+			return buildProg(t, m), m
+		}, 0},
+		{"invokestatic-callee", func() (*Program, *Method) {
+			callee := bad()
+			return buildProg(t, caller(func(a *Asm) { a.Invoke(OpInvokeStatic, "Main.bad", 0) }), callee), callee
+		}, 0},
+		{"invokevirtual-callee", func() (*Program, *Method) {
+			a := NewAsm()
+			a.Op(OpPop).ConstInt(1).Op(OpReturn)
+			callee := a.MustBuild("bad", 1)
+			thing := NewClass("Thing", nil)
+			thing.AddMethod(callee)
+			p := buildProg(t, caller(func(a *Asm) { a.Sym(OpNew, "Thing").Invoke(OpInvokeVirtual, "bad", 1) }))
+			if err := p.AddClass(thing); err != nil {
+				t.Fatal(err)
+			}
+			return p, callee
+		}, 0},
+		{"invokehandle-callee", func() (*Program, *Method) {
+			callee := bad()
+			return buildProg(t, caller(func(a *Asm) {
+				a.Sym(OpInvokeDynamic, "Main.bad").Invoke(OpInvokeHandle, "", 0)
+			}), callee), callee
+		}, 0},
+	}
+	for _, tc := range cases {
+		p, failing := tc.prog()
+		err := diffTiers(t, tc.name, p)
+		var ve *VerifyError
+		if !errors.As(err, &ve) {
+			t.Errorf("%s: err = %v, want *VerifyError", tc.name, err)
+			continue
+		}
+		if ve.Method != failing || ve.PC != tc.pc {
+			t.Errorf("%s: VerifyError at %s:%d, want %s:%d", tc.name,
+				ve.Method.QualifiedName(), ve.PC, failing.QualifiedName(), tc.pc)
+		}
+	}
 }
 
 // TestFuelBlockGranularity: fuel is charged per basic block, so

@@ -2,19 +2,34 @@ package rvm
 
 import "fmt"
 
-// Bytecode verification. Before a method may run on the flat-frame tier-0
-// path or be quickened to tier-1, the interpreter proves that its operand
-// stack is statically well-formed: every reachable instruction has one
-// consistent entry depth, no path underflows, all local slots are in
-// range, and all opcodes are known. The proof yields MaxStack — the exact
-// operand-stack high-water mark — which sizes the pooled flat frame
-// (locals and stack in one slice, no per-value bounds management).
+// Bytecode verification. Before a method may run, the interpreter proves
+// that its operand stack is statically well-formed: every reachable
+// instruction has one consistent entry depth, no path underflows, all
+// local slots are in range, and all opcodes are known. The proof yields
+// the exact operand-stack high-water mark, which sizes the pooled flat
+// frame (locals and stack in one slice, no per-value bounds management)
+// at both tiers.
 //
-// Methods that fail verification are not broken: they run on the original
-// dynamic-stack interpreter (runDynamic), which checks every pop at
-// runtime and reports the same errors the seed interpreter did. This
-// keeps hand-built test methods (unknown opcodes, deliberate underflows,
-// inconsistent join depths) byte-for-byte compatible.
+// Verification is the only gate into execution. A method that fails it is
+// rejected with a *VerifyError when the interpreter first links it, and
+// none of its instructions run, as the JVM rejects a class that fails
+// verification. Every instruction some control-flow path reaches is
+// checked, on branches no run takes too; code no path reaches is not.
+
+// VerifyError reports a method rejected by bytecode verification. A
+// static stack underflow unwraps to ErrStack.
+type VerifyError struct {
+	Method *Method
+	PC     int    // the instruction that failed
+	Reason string // e.g. "unknown opcode 200"
+	cause  error
+}
+
+func (e *VerifyError) Error() string {
+	return fmt.Sprintf("rvm: verify error at %s:%d: %s", e.Method.QualifiedName(), e.PC, e.Reason)
+}
+
+func (e *VerifyError) Unwrap() error { return e.cause }
 
 // stackEffect returns how many operand-stack slots the instruction pops
 // and pushes. Control-flow successors are the caller's concern. ok is
@@ -54,7 +69,7 @@ func stackEffect(in Instr) (pops, pushes int, ok bool) {
 // it returns the operand-stack high-water mark and the entry depth of
 // every instruction (-1 for unreachable code). Jump targets outside
 // [0, len(Code)) are the seed's implicit void return and terminate a path.
-func verifyMethod(m *Method) (maxStack int, depths []int, err error) {
+func verifyMethod(m *Method) (maxStack int, depths []int, verr *VerifyError) {
 	n := len(m.Code)
 	depths = make([]int, n)
 	for i := range depths {
@@ -62,6 +77,9 @@ func verifyMethod(m *Method) (maxStack int, depths []int, err error) {
 	}
 	if n == 0 {
 		return 0, depths, nil
+	}
+	fail := func(pc int, cause error, format string, args ...any) (int, []int, *VerifyError) {
+		return 0, nil, &VerifyError{Method: m, PC: pc, Reason: fmt.Sprintf(format, args...), cause: cause}
 	}
 	type item struct{ pc, depth int }
 	work := []item{{0, 0}}
@@ -73,8 +91,7 @@ func verifyMethod(m *Method) (maxStack int, depths []int, err error) {
 		for pc >= 0 && pc < n {
 			if depths[pc] >= 0 {
 				if depths[pc] != d {
-					return 0, nil, fmt.Errorf("rvm: inconsistent stack depth at %s:%d (%d vs %d)",
-						m.QualifiedName(), pc, depths[pc], d)
+					return fail(pc, nil, "inconsistent stack depth (%d vs %d)", depths[pc], d)
 				}
 				break
 			}
@@ -82,20 +99,20 @@ func verifyMethod(m *Method) (maxStack int, depths []int, err error) {
 			in := m.Code[pc]
 			pops, pushes, ok := stackEffect(in)
 			if !ok {
-				return 0, nil, fmt.Errorf("rvm: unverifiable opcode %d at %s:%d", in.Op, m.QualifiedName(), pc)
+				return fail(pc, nil, "unknown opcode %d", in.Op)
 			}
 			switch in.Op {
 			case OpLoad, OpStore:
 				if in.A < 0 || in.A >= m.NLocals {
-					return 0, nil, fmt.Errorf("rvm: local slot %d out of range at %s:%d", in.A, m.QualifiedName(), pc)
+					return fail(pc, nil, "local slot %d out of range", in.A)
 				}
 			case OpInvokeStatic, OpInvokeVirtual, OpInvokeInterface, OpInvokeHandle:
 				if in.A < 0 {
-					return 0, nil, fmt.Errorf("rvm: negative argument count at %s:%d", m.QualifiedName(), pc)
+					return fail(pc, nil, "negative argument count %d", in.A)
 				}
 			}
 			if d < pops {
-				return 0, nil, fmt.Errorf("rvm: static stack underflow at %s:%d", m.QualifiedName(), pc)
+				return fail(pc, ErrStack, "static stack underflow (%s needs %d, depth %d)", in.Op, pops, d)
 			}
 			d = d - pops + pushes
 			if d > maxStack {
